@@ -180,6 +180,8 @@ class DualOperatorBase(abc.ABC):
             breakdown=breakdown,
         )
         self._prepared = True
+        # A new preparation replaces the structures the assembly filled.
+        self._preprocessed = False
         return self.ledger.record(phase)
 
     def preprocess(self) -> PhaseTiming:
@@ -197,6 +199,11 @@ class DualOperatorBase(abc.ABC):
         )
         self._preprocessed = True
         return self.ledger.record(phase)
+
+    @property
+    def preprocessed(self) -> bool:
+        """Whether a preprocessing ran since the last preparation."""
+        return self._preprocessed
 
     def apply(self, lam: np.ndarray) -> np.ndarray:
         """Apply the dual operator ``q = F λ`` (once per PCPG iteration)."""

@@ -79,6 +79,15 @@ class _GpuState:
         default_factory=lambda: np.empty(0, dtype=np.int64)
     )
 
+    def release(self) -> None:
+        """Return every persistent device allocation to its pool."""
+        for held in (
+            self.device_B, self.device_factor, self.device_F,
+            self.forward_plan, self.backward_plan, self.p_vec, self.q_vec,
+        ):
+            if held is not None:
+                held.release()
+
 
 @dataclass
 class _ClusterState:
@@ -87,6 +96,12 @@ class _ClusterState:
     lambda_ids: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
     dual_in: DeviceVector | None = None
     dual_out: DeviceVector | None = None
+
+    def release(self) -> None:
+        """Return the cluster dual vectors to their pool."""
+        for held in (self.dual_in, self.dual_out):
+            if held is not None:
+                held.release()
 
 
 class ExplicitGpuDualOperator(DualOperatorBase):
@@ -165,7 +180,22 @@ class ExplicitGpuDualOperator(DualOperatorBase):
     # ------------------------------------------------------------------ #
     # Preparation                                                         #
     # ------------------------------------------------------------------ #
+    def _release_device_state(self) -> None:
+        """Free the persistent device structures of an earlier preparation.
+
+        A repeated :meth:`prepare` re-allocates them; the temporary arena
+        took the rest of the device at the first preparation, so the old
+        allocations must be returned first.
+        """
+        for state in self._state.values():
+            state.release()
+        for cstate in self._cluster_state.values():
+            cstate.release()
+        self._state = {s.index: _GpuState() for s in self.problem.subdomains}
+        self._cluster_state = {}
+
     def _prepare_impl(self) -> tuple[float, dict[str, float]]:
+        self._release_device_state()
         cfg = self.config
         breakdown = {"symbolic": 0.0, "persistent_upload": 0.0, "analysis": 0.0}
         cluster_times = []
@@ -356,9 +386,10 @@ class ExplicitGpuDualOperator(DualOperatorBase):
 
                 # Temporary buffers: dense RHS (and dense factor if needed).
                 ndofs, n_lambda = sub.ndofs, sub.n_lambda
+                # sparse_to_dense() writes every entry of both buffers.
                 rhs_alloc = arena.allocate(8 * ndofs * n_lambda, "dense-rhs")
                 rhs = DeviceDenseMatrix(
-                    array=np.zeros((ndofs, n_lambda)),
+                    array=np.empty((ndofs, n_lambda)),
                     order=_matrix_order(cfg.rhs_order),
                     allocation=rhs_alloc,
                 )
@@ -379,7 +410,7 @@ class ExplicitGpuDualOperator(DualOperatorBase):
                 if need_dense:
                     dense_alloc = arena.allocate(8 * ndofs * ndofs, "dense-factor")
                     dense_factor = DeviceDenseMatrix(
-                        array=np.zeros((ndofs, ndofs)),
+                        array=np.empty((ndofs, ndofs)),
                         order=_matrix_order(cfg.forward_factor_order),
                         allocation=dense_alloc,
                     )

@@ -71,6 +71,7 @@ class HybridDualOperator(ExplicitGpuDualOperator):
 
     # ------------------------------------------------------------------ #
     def _prepare_impl(self) -> tuple[float, dict[str, float]]:
+        self._release_device_state()
         cfg = self.config
         breakdown = {"symbolic": 0.0}
         cluster_times = []

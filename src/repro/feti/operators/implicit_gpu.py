@@ -38,6 +38,15 @@ class _GpuState:
     work_vec: DeviceVector | None = None
     perm: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
 
+    def release(self) -> None:
+        """Return every persistent device allocation to its pool."""
+        for held in (
+            self.device_B, self.device_factor, self.plan,
+            self.p_vec, self.q_vec, self.work_vec,
+        ):
+            if held is not None:
+                held.release()
+
 
 class ImplicitGpuDualOperator(DualOperatorBase):
     """Implicit application of ``F̃ᵢ`` on the GPU with CHOLMOD factors."""
@@ -99,6 +108,11 @@ class ImplicitGpuDualOperator(DualOperatorBase):
 
     # ------------------------------------------------------------------ #
     def _prepare_impl(self) -> tuple[float, dict[str, float]]:
+        # A repeated preparation re-allocates the persistent structures; the
+        # temporary arena holds the rest of the device, so free the old ones.
+        for state in self._state.values():
+            state.release()
+        self._state = {s.index: _GpuState() for s in self.problem.subdomains}
         breakdown = {"symbolic": 0.0, "persistent_upload": 0.0, "analysis": 0.0}
         cluster_times = []
         for cluster, subs in self.iter_clusters():

@@ -188,7 +188,7 @@ class FetiSolver:
             stiffness values (used by callers that manage Algorithm 2
             themselves).
         """
-        if reuse_preprocessing and self.operator.ledger.last("preprocessing"):
+        if reuse_preprocessing and self.operator.preprocessed:
             preprocessing = self.operator.ledger.last("preprocessing")
         else:
             preprocessing = self.preprocess()
@@ -200,7 +200,8 @@ class FetiSolver:
         with trace_span("coarse_setup", mode=self.spec.coarse):
             lambda_0 = self.projector.initial_lambda(e)
 
-        apply_count_before = self.operator.ledger.count("apply")
+        # Phases recorded from here on belong to this solve.
+        phases_before = len(self.operator.ledger.phases)
         with trace_span("pcpg", tolerance=self.spec.tolerance):
             result = pcpg(
                 apply_F=self.operator.apply,
@@ -213,10 +214,9 @@ class FetiSolver:
                 absolute_tolerance=self.spec.absolute_tolerance,
                 residual_history=self.spec.residual_history,
             )
-        apply_phases = self.operator.ledger.phases
         dual_apply_seconds = sum(
             p.simulated_seconds
-            for p in apply_phases[apply_count_before:]
+            for p in self.operator.ledger.phases[phases_before:]
             if p.name == "apply"
         )
         if self.precision.dual_refine_rounds:
@@ -326,7 +326,7 @@ class FetiSolver:
         reuse_preprocessing:
             As in :meth:`solve`.
         """
-        if reuse_preprocessing and self.operator.ledger.last("preprocessing"):
+        if reuse_preprocessing and self.operator.preprocessed:
             preprocessing = self.operator.ledger.last("preprocessing")
         else:
             preprocessing = self.preprocess()
@@ -347,7 +347,7 @@ class FetiSolver:
                     sub.f = f
 
         n_cols = len(loads_columns)
-        apply_count_before = len(self.operator.ledger.phases)
+        phases_before = len(self.operator.ledger.phases)
         coarse_before = self.projector.seconds
         try:
             d_cols: list[np.ndarray] = []
@@ -375,10 +375,9 @@ class FetiSolver:
                     absolute_tolerance=self.spec.absolute_tolerance,
                     residual_history=self.spec.residual_history,
                 )
-            apply_phases = self.operator.ledger.phases
             total_apply_seconds = sum(
                 p.simulated_seconds
-                for p in apply_phases[apply_count_before:]
+                for p in self.operator.ledger.phases[phases_before:]
                 if p.name in ("apply", "apply_multi")
             )
             if self.precision.dual_refine_rounds:

@@ -54,8 +54,13 @@ class DeviceVector:
 class DeviceDenseMatrix:
     """A dense matrix resident in simulated device memory.
 
-    ``order`` only affects the cost model (and the workspace sizes of the
-    sparse TRSM); the stored NumPy array is always C-ordered.
+    The stored NumPy array is C-ordered.  The dense kernels hand it to BLAS
+    without a copy through its transpose ``array.T``, which is
+    Fortran-contiguous over the same memory: a column-major BLAS routine
+    sees the matrix transposed, and the kernel states its operation on the
+    transpose (see :mod:`repro.gpu.cublas`).  ``order`` never changes the
+    storage or the host computation; it only drives the cost model (kernel
+    speed and the workspace sizes of the sparse TRSM).
     """
 
     array: np.ndarray

@@ -201,9 +201,20 @@ def sparse_to_dense(
     submit_time: float,
     transpose: bool = False,
 ) -> StreamOperation:
-    """Convert a sparse device matrix to dense storage on the device."""
-    dense = np.asarray(a.matrix.todense(), dtype=float)
-    out.array[...] = dense.T if transpose else dense
+    """Convert a sparse device matrix to dense storage on the device.
+
+    With ``transpose`` the dense target is ``out.array.T``.  SciPy writes a
+    contiguous target of the matrix's dtype directly (zeroing it first); any
+    other target receives a converted copy.
+    """
+    target = out.array.T if transpose else out.array
+    matrix = a.matrix
+    if target.dtype == matrix.dtype and (
+        target.flags.c_contiguous or target.flags.f_contiguous
+    ):
+        matrix.toarray(out=target)
+    else:
+        target[...] = matrix.toarray()
     rows, cols = out.shape
     duration = device.cost_model.sparse_to_dense(rows, cols, a.nnz)
     return stream.submit("cusparse.sparse_to_dense", duration, submit_time)

@@ -70,17 +70,58 @@ def test_spmm_and_spmv(device):
     assert np.allclose(yt.array, A.T @ xt.array)
 
 
-def test_sparse_to_dense_and_transpose(device):
+@pytest.mark.parametrize("transpose", [False, True])
+def test_sparse_to_dense_writes_the_target_in_place(device, transpose):
     stream = device.streams[0]
-    rng = np.random.default_rng(6)
-    A = sp.random(7, 11, density=0.4, random_state=rng).tocsr()
+    rng = np.random.default_rng(9)
+    A = sp.random(13, 6, density=0.3, random_state=rng).tocsr()
     dA, _ = device.upload_sparse(A, stream, 0.0)
-    out = DeviceDenseMatrix(array=np.zeros((7, 11)))
+    expected = A.toarray().T if transpose else A.toarray()
+    out = DeviceDenseMatrix(array=np.full(expected.shape, np.nan))
+    storage = out.array
+    cusparse.sparse_to_dense(device, stream, dA, out, 0.0, transpose=transpose)
+    assert out.array is storage
+    np.testing.assert_array_equal(out.array, expected)
+
+
+@pytest.mark.parametrize("transpose", [False, True])
+def test_sparse_to_dense_into_float32_target(device, transpose):
+    stream = device.streams[0]
+    rng = np.random.default_rng(10)
+    A = sp.random(9, 14, density=0.3, random_state=rng).tocsr()
+    dA, _ = device.upload_sparse(A, stream, 0.0)
+    expected = A.toarray().T if transpose else A.toarray()
+    out = DeviceDenseMatrix(array=np.full(expected.shape, np.nan, dtype=np.float32))
+    cusparse.sparse_to_dense(device, stream, dA, out, 0.0, transpose=transpose)
+    assert out.array.dtype == np.float32
+    np.testing.assert_array_equal(out.array, expected.astype(np.float32))
+
+
+def test_sparse_to_dense_into_a_non_contiguous_target(device):
+    stream = device.streams[0]
+    rng = np.random.default_rng(11)
+    A = sp.random(8, 5, density=0.4, random_state=rng).tocsr()
+    dA, _ = device.upload_sparse(A, stream, 0.0)
+    backing = np.full((8, 10), 7.0)
+    out = DeviceDenseMatrix(array=backing[:, ::2])
     cusparse.sparse_to_dense(device, stream, dA, out, 0.0)
-    assert np.allclose(out.array, A.toarray())
-    out_t = DeviceDenseMatrix(array=np.zeros((11, 7)))
-    cusparse.sparse_to_dense(device, stream, dA, out_t, 0.0, transpose=True)
-    assert np.allclose(out_t.array, A.toarray().T)
+    np.testing.assert_array_equal(backing[:, ::2], A.toarray())
+    assert np.all(backing[:, 1::2] == 7.0)
+
+
+def test_sparse_to_dense_duration_follows_the_cost_model(device):
+    stream = device.streams[0]
+    rng = np.random.default_rng(12)
+    A = sp.random(10, 16, density=0.25, random_state=rng).tocsr()
+    dA, _ = device.upload_sparse(A, stream, 0.0)
+    for transpose in (False, True):
+        shape = (16, 10) if transpose else (10, 16)
+        stream.reset()  # start at t=0 so end - start carries no rounding
+        op = cusparse.sparse_to_dense(
+            device, stream, dA, DeviceDenseMatrix(array=np.zeros(shape)), 0.0,
+            transpose=transpose,
+        )
+        assert op.duration == device.cost_model.sparse_to_dense(*shape, A.nnz)
 
 
 def test_scatter_gather_roundtrip(device):
