@@ -156,7 +156,10 @@ class SolverSpec:
         on: an :class:`~repro.runtime.executor.ExecutionSpec`, a backend
         string (``"processes"``, ``"threads:4"``), a ``{"backend", "workers"}``
         dict, or ``None`` for the process-wide default (``REPRO_EXECUTOR`` /
-        ``REPRO_WORKERS``, serial when unset).
+        ``REPRO_WORKERS``, serial when unset).  Only those two phases are
+        parallel: the PCPG loop (apply, projection, preconditioner) runs in
+        the calling thread under every backend, so the iterates are bitwise
+        equal to a serial solve's.
     coarse:
         Coarse-problem factorization of the PCPG projector: ``"dense"``
         (one Cholesky of ``GᵀG`` — the exact reference), ``"hierarchical"``

@@ -1,23 +1,22 @@
 """The ``apply_phase`` scenario: sequential vs stacked multi-RHS applies.
 
-PR 7 parallelized the solve phase end to end; this scenario isolates its
-hottest kernel — the dual-operator apply — and measures the two ways a
-multi-RHS block can be driven through it, per runtime backend:
+This scenario isolates the hottest kernel of the solve phase — the
+dual-operator apply — and measures the two ways a multi-RHS block can be
+driven through it:
 
 * **sequential** — ``k`` scalar ``operator.apply(column)`` calls, the
   bit-exact reference path (and what a naive caller would write);
 * **stacked** — one ``operator.apply_multi(block, stacked=True)`` call,
   the fused-GEMM path used by ``Session.solve_many`` throughput callers.
 
-Simulated apply seconds come from the operator's timing ledger and are
-deterministic, so the comparator gates them at the usual rtol.  Wall
-seconds are recorded (best-of-``rounds``) but not comparator-gated; the
-run itself enforces the PR's structural floor instead: on the process
-backend the stacked path must beat ``k`` sequential applies by strictly
-more than the committed speedup floor, because each sequential apply pays
-a pool span dispatch while the stacked block runs as one parent GEMM on
-the already-uploaded arena pack.  The run also re-checks the numerical
-contract (stacked ≤ 1e-12 of sequential, relative) on every backend.
+The apply always runs in the calling thread (the runtime executor only
+parallelizes preprocessing and queued solves), so the scenario measures
+the serial executor only; its points keep the historical ``serial/``
+prefix.  Simulated apply seconds come from the operator's timing ledger
+and are deterministic, so the comparator gates them at the usual rtol.
+Wall seconds are recorded (best-of-``rounds``) but not comparator-gated;
+the run itself re-checks the numerical contract (stacked ≤ 1e-12 of
+sequential, relative).
 """
 
 from __future__ import annotations
@@ -31,14 +30,7 @@ import numpy as np
 from repro.api.workload import Workload
 from repro.bench.registry import Scenario, register
 
-__all__ = ["ApplyPhaseScenario", "APPLY_PHASE_BACKENDS"]
-
-#: ``(point prefix, SolverSpec execution string)`` per measured backend.
-APPLY_PHASE_BACKENDS: tuple[tuple[str, str | None], ...] = (
-    ("serial", None),
-    ("threads4", "threads:4"),
-    ("processes4", "processes:4"),
-)
+__all__ = ["ApplyPhaseScenario"]
 
 #: Seed of the deterministic multi-RHS block (fixed forever: the block is
 #: part of the measured workload, so baselines depend on it).
@@ -47,21 +39,18 @@ _BLOCK_SEED = 20250806
 
 @dataclass
 class ApplyPhaseScenario(Scenario):
-    """Sequential vs stacked block applies across runtime backends."""
+    """Sequential vs stacked block applies of one dual operator."""
 
-    backends: tuple[tuple[str, str | None], ...] = APPLY_PHASE_BACKENDS
     n_rhs: int = 8
     rounds: int = 3
-    #: The process-backend stacked speedup every run must strictly exceed.
-    min_processes_speedup: float = 1.39
 
     def n_points(self) -> int:
-        return 2 * len(self.backends)
+        return 2
 
     def run_record(
         self, check_invariants: bool = True, point_timeout: float | None = None
     ) -> dict[str, Any]:
-        """Measure every backend and build the schema-v2 record.
+        """Measure both variants and build the schema-v2 record.
 
         ``point_timeout`` is accepted for hook-signature compatibility but
         unused: the applies are short, in-process, and cannot wedge the way
@@ -70,35 +59,32 @@ class ApplyPhaseScenario(Scenario):
         from repro.bench.runner import SCHEMA_VERSION as RECORD_SCHEMA_VERSION
         from repro.bench.runner import environment_stamp
 
+        measured = self._measure()
+        if check_invariants:
+            self._check(measured)
         points: list[dict[str, Any]] = []
-        derived: dict[str, float] = {}
-        for prefix, execution in self.backends:
-            measured = self._measure_backend(execution)
-            if check_invariants:
-                self._check_backend(prefix, measured)
-            for variant in ("sequential", "stacked"):
-                m = measured[variant]
-                points.append(
-                    {
-                        "key": f"{prefix}/{variant}",
-                        "invariants": {
-                            "n_lambda": measured["n_lambda"],
-                            "n_rhs": self.n_rhs,
-                        },
-                        "simulated": {
-                            "apply_seconds": m["simulated_seconds"],
-                        },
-                        "wall": {
-                            "wall_seconds": m["wall_seconds"],
-                            "per_column_seconds": m["wall_seconds"] / self.n_rhs,
-                        },
-                    }
-                )
-            speedup = (
-                measured["sequential"]["wall_seconds"]
-                / measured["stacked"]["wall_seconds"]
+        for variant in ("sequential", "stacked"):
+            m = measured[variant]
+            points.append(
+                {
+                    "key": f"serial/{variant}",
+                    "invariants": {
+                        "n_lambda": measured["n_lambda"],
+                        "n_rhs": self.n_rhs,
+                    },
+                    "simulated": {
+                        "apply_seconds": m["simulated_seconds"],
+                    },
+                    "wall": {
+                        "wall_seconds": m["wall_seconds"],
+                        "per_column_seconds": m["wall_seconds"] / self.n_rhs,
+                    },
+                }
             )
-            derived[f"wall_apply_stacked_speedup[{prefix}]"] = speedup
+        speedup = (
+            measured["sequential"]["wall_seconds"] / measured["stacked"]["wall_seconds"]
+        )
+        derived = {"wall_apply_stacked_speedup[serial]": speedup}
         return {
             "schema_version": RECORD_SCHEMA_VERSION,
             "benchmark": self.name,
@@ -115,8 +101,6 @@ class ApplyPhaseScenario(Scenario):
                 "approach": self.approaches[0].value,
                 "n_rhs": self.n_rhs,
                 "rounds": self.rounds,
-                "backends": [prefix for prefix, _ in self.backends],
-                "min_processes_speedup": self.min_processes_speedup,
             },
             "environment": environment_stamp(),
             "points": points,
@@ -124,17 +108,11 @@ class ApplyPhaseScenario(Scenario):
         }
 
     # ------------------------------------------------------------------ #
-    def _measure_backend(self, execution: str | None) -> dict[str, Any]:
-        """Wall + simulated seconds of both variants on one backend."""
+    def _measure(self) -> dict[str, Any]:
+        """Wall + simulated seconds of both variants."""
         from repro.api import Session, SolverSpec
 
-        approach = self.approaches[0].value
-        spec = (
-            SolverSpec(approach=approach, execution=execution)
-            if execution is not None
-            else SolverSpec(approach=approach)
-        )
-        with Session(spec) as session:
+        with Session(SolverSpec(approach=self.approaches[0].value)) as session:
             operator = session.operator_for(self.base)
             operator.prepare()
             operator.preprocess()
@@ -143,8 +121,7 @@ class ApplyPhaseScenario(Scenario):
             block = rng.standard_normal((n_lambda, self.n_rhs))
             columns = [np.ascontiguousarray(block[:, j]) for j in range(self.n_rhs)]
 
-            # Warm both paths untimed: the first process-backend apply spawns
-            # the worker pool and uploads the arena pack.
+            # Warm both paths untimed.
             seq_ref = np.column_stack([operator.apply(col) for col in columns])
             stacked_ref = operator.apply_multi(block, stacked=True)
 
@@ -174,29 +151,17 @@ class ApplyPhaseScenario(Scenario):
             )
         return measured
 
-    def _check_backend(self, prefix: str, measured: dict[str, Any]) -> None:
-        """The run-time invariants (the comparator does not gate derived)."""
+    def _check(self, measured: dict[str, Any]) -> None:
+        """The run-time invariant (the comparator does not gate derived)."""
         from repro.bench.runner import InvariantViolation
 
         rel = measured["stacked_rel_error"]
         if not rel <= 1e-12:
             raise InvariantViolation(
-                f"scenario {self.name!r}: {prefix} stacked apply_multi is "
+                f"scenario {self.name!r}: stacked apply_multi is "
                 f"{rel:.3e} relative from {self.n_rhs} sequential applies "
                 "(contract: <= 1e-12)"
             )
-        if prefix == "processes4":
-            speedup = (
-                measured["sequential"]["wall_seconds"]
-                / measured["stacked"]["wall_seconds"]
-            )
-            if not speedup > self.min_processes_speedup:
-                raise InvariantViolation(
-                    f"scenario {self.name!r}: process-backend stacked apply "
-                    f"speedup {speedup:.2f}x is not strictly above the "
-                    f"{self.min_processes_speedup}x floor — the fused block "
-                    "path no longer amortizes the per-apply span dispatch"
-                )
 
 
 def _register_default() -> None:
@@ -207,7 +172,7 @@ def _register_default() -> None:
             name="apply_phase",
             description=(
                 "multi-RHS dual-operator applies: k sequential scalar applies "
-                "vs one stacked GEMM block, per runtime backend"
+                "vs one stacked GEMM block"
             ),
             base=Workload("heat", 2, (8, 8), 8),
             approaches=(DualOperatorApproach("expl mkl"),),

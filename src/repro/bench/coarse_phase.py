@@ -1,22 +1,24 @@
 """The ``coarse_phase`` scenario: dense vs hierarchical coarse problem.
 
-PR 8 restructured the coarse problem around the cluster topology: kernel
+The coarse problem is structured around the cluster topology: kernel
 modes are reordered cluster-contiguously so ``G^T G`` is block-sparse, and
 the single dense Cholesky is replaced by per-cluster factorizations plus an
 interface Schur complement.  This scenario measures that trade on a real
-multi-cluster workload, per runtime backend:
+multi-cluster workload:
 
 * **dense** — one ``cho_factor`` of the full ``G^T G``, the exact reference;
 * **hierarchical** — the two-level per-cluster + interface-Schur solver.
 
-The factorization/solve *flop models* are deterministic functions of the
-coarse-problem structure, so the comparator gates them (and the modeled
-speedups) at the usual rtol.  Wall seconds are recorded (best-of-``rounds``)
-but not comparator-gated; the run itself enforces the PR's structural
-floors instead: the modeled hierarchical factorization and solve must beat
-the dense flop counts by the committed minimum speedups, the hierarchical
-projector must match the dense one to 1e-12 (relative), and the
-threads-backend sharded coarse applies must be bitwise equal to serial.
+The projector applies run in the calling thread under every executor, so
+the scenario measures them once; its points keep the historical
+``/serial`` suffix.  The factorization/solve *flop models* are
+deterministic functions of the coarse-problem structure, so the
+comparator gates them (and the modeled speedups) at the usual rtol.  Wall
+seconds are recorded (best-of-``rounds``) but not comparator-gated; the
+run itself enforces the structural floors instead: the modeled
+hierarchical factorization and solve must beat the dense flop counts by
+the committed minimum speedups, and the hierarchical projector must match
+the dense one to 1e-12 (relative).
 """
 
 from __future__ import annotations
@@ -30,14 +32,7 @@ import numpy as np
 from repro.api.workload import Workload
 from repro.bench.registry import Scenario, build_feti_problem, register
 
-__all__ = ["CoarsePhaseScenario", "COARSE_PHASE_BACKENDS"]
-
-#: ``(point prefix, ExecutionSpec short string)`` per measured backend.
-COARSE_PHASE_BACKENDS: tuple[tuple[str, str | None], ...] = (
-    ("serial", None),
-    ("threads4", "threads:4"),
-    ("processes4", "processes:4"),
-)
+__all__ = ["CoarsePhaseScenario"]
 
 #: Seed of the deterministic dual vector (fixed forever: the vector is part
 #: of the measured workload, so baselines depend on it).
@@ -46,21 +41,20 @@ _VECTOR_SEED = 20250808
 
 @dataclass
 class CoarsePhaseScenario(Scenario):
-    """Dense vs hierarchical coarse-problem solves across runtime backends."""
+    """Dense vs hierarchical coarse-problem solves."""
 
-    backends: tuple[tuple[str, str | None], ...] = COARSE_PHASE_BACKENDS
     rounds: int = 3
     #: Modeled flop speedups every run must meet (two-level vs dense).
     min_modeled_factor_speedup: float = 2.0
     min_modeled_solve_speedup: float = 1.5
 
     def n_points(self) -> int:
-        return 2 * len(self.backends)
+        return 2
 
     def run_record(
         self, check_invariants: bool = True, point_timeout: float | None = None
     ) -> dict[str, Any]:
-        """Measure both coarse modes per backend and build the schema-v2 record.
+        """Measure both coarse modes and build the schema-v2 record.
 
         ``point_timeout`` is accepted for hook-signature compatibility but
         unused: the coarse solves are short, in-process, and cannot wedge
@@ -69,7 +63,6 @@ class CoarsePhaseScenario(Scenario):
         from repro.bench.runner import SCHEMA_VERSION as RECORD_SCHEMA_VERSION
         from repro.bench.runner import environment_stamp
         from repro.feti.projector import build_projector
-        from repro.runtime.executor import ExecutionSpec, make_executor
 
         problem = build_feti_problem(self.base)
         n_lambda = problem.n_lambda
@@ -82,8 +75,8 @@ class CoarsePhaseScenario(Scenario):
         factor_wall: dict[str, float] = {}
         flops: dict[str, dict[str, float]] = {}
         n_kernel = 0
-        applies: dict[tuple[str, str], np.ndarray] = {}
-        apply_wall: dict[tuple[str, str], float] = {}
+        applies: dict[str, np.ndarray] = {}
+        apply_wall: dict[str, float] = {}
 
         for mode in ("dense", "hierarchical"):
             best_factor = float("inf")
@@ -94,52 +87,36 @@ class CoarsePhaseScenario(Scenario):
             factor_wall[mode] = best_factor
             flops[mode] = projector.modeled_flops()
             n_kernel = int(projector.n_kernel)
-            for prefix, execution in self.backends:
-                if execution is None:
-                    executor_cm = None
-                else:
-                    executor_cm = make_executor(ExecutionSpec.of(execution))
-                try:
-                    executor = (
-                        executor_cm.__enter__() if executor_cm is not None else None
-                    )
-                    sharded = build_projector(problem, mode=mode, executor=executor)
-                    applies[(mode, prefix)] = sharded.apply(x)  # warm pool + arena
-                    best_apply = float("inf")
-                    for _ in range(self.rounds):
-                        start = time.perf_counter()
-                        for _ in range(n_applies):
-                            sharded.apply(x)
-                        best_apply = min(
-                            best_apply, (time.perf_counter() - start) / n_applies
-                        )
-                    apply_wall[(mode, prefix)] = best_apply
-                finally:
-                    if executor_cm is not None:
-                        executor_cm.__exit__(None, None, None)
+            applies[mode] = projector.apply(x)  # warm
+            best_apply = float("inf")
+            for _ in range(self.rounds):
+                start = time.perf_counter()
+                for _ in range(n_applies):
+                    projector.apply(x)
+                best_apply = min(best_apply, (time.perf_counter() - start) / n_applies)
+            apply_wall[mode] = best_apply
 
         if check_invariants:
             self._check_invariants(flops, applies)
 
         for mode in ("dense", "hierarchical"):
-            for prefix, _ in self.backends:
-                points.append(
-                    {
-                        "key": f"{mode}/{prefix}",
-                        "invariants": {
-                            "n_lambda": int(n_lambda),
-                            "n_kernel": n_kernel,
-                        },
-                        "simulated": {
-                            "factor_flops": flops[mode]["factor_flops"],
-                            "solve_flops": flops[mode]["solve_flops"],
-                        },
-                        "wall": {
-                            "factor_seconds": factor_wall[mode],
-                            "apply_seconds": apply_wall[(mode, prefix)],
-                        },
-                    }
-                )
+            points.append(
+                {
+                    "key": f"{mode}/serial",
+                    "invariants": {
+                        "n_lambda": int(n_lambda),
+                        "n_kernel": n_kernel,
+                    },
+                    "simulated": {
+                        "factor_flops": flops[mode]["factor_flops"],
+                        "solve_flops": flops[mode]["solve_flops"],
+                    },
+                    "wall": {
+                        "factor_seconds": factor_wall[mode],
+                        "apply_seconds": apply_wall[mode],
+                    },
+                }
+            )
         derived["modeled_factor_speedup"] = (
             flops["hierarchical"]["dense_factor_flops"]
             / flops["hierarchical"]["factor_flops"]
@@ -152,12 +129,10 @@ class CoarsePhaseScenario(Scenario):
             derived["wall_coarse_factor_speedup"] = (
                 factor_wall["dense"] / factor_wall["hierarchical"]
             )
-        for prefix, _ in self.backends:
-            hier = apply_wall[("hierarchical", prefix)]
-            if hier > 0.0:
-                derived[f"wall_coarse_apply_speedup[{prefix}]"] = (
-                    apply_wall[("dense", prefix)] / hier
-                )
+        if apply_wall["hierarchical"] > 0.0:
+            derived["wall_coarse_apply_speedup[serial]"] = (
+                apply_wall["dense"] / apply_wall["hierarchical"]
+            )
         return {
             "schema_version": RECORD_SCHEMA_VERSION,
             "benchmark": self.name,
@@ -172,7 +147,6 @@ class CoarsePhaseScenario(Scenario):
             },
             "coarse_phase": {
                 "rounds": self.rounds,
-                "backends": [prefix for prefix, _ in self.backends],
                 "min_modeled_factor_speedup": self.min_modeled_factor_speedup,
                 "min_modeled_solve_speedup": self.min_modeled_solve_speedup,
             },
@@ -185,43 +159,20 @@ class CoarsePhaseScenario(Scenario):
     def _check_invariants(
         self,
         flops: dict[str, dict[str, float]],
-        applies: dict[tuple[str, str], np.ndarray],
+        applies: dict[str, np.ndarray],
     ) -> None:
         """The run-time invariants (the comparator does not gate derived)."""
         from repro.bench.runner import InvariantViolation
 
-        dense_serial = applies[("dense", "serial")]
-        denom = max(float(np.linalg.norm(dense_serial)), 1e-300)
-        rel = float(
-            np.linalg.norm(applies[("hierarchical", "serial")] - dense_serial) / denom
-        )
+        dense = applies["dense"]
+        denom = max(float(np.linalg.norm(dense)), 1e-300)
+        rel = float(np.linalg.norm(applies["hierarchical"] - dense) / denom)
         if not rel <= 1e-12:
             raise InvariantViolation(
                 f"scenario {self.name!r}: hierarchical projector apply is "
                 f"{rel:.3e} relative from the dense reference "
                 "(contract: <= 1e-12)"
             )
-        for mode in ("dense", "hierarchical"):
-            for prefix, _ in self.backends:
-                if prefix == "serial":
-                    continue
-                parallel = applies[(mode, prefix)]
-                serial = applies[(mode, "serial")]
-                if prefix.startswith("threads"):
-                    if not np.array_equal(parallel, serial):
-                        raise InvariantViolation(
-                            f"scenario {self.name!r}: {mode}/{prefix} coarse "
-                            "apply is not bitwise equal to serial — the "
-                            "row-span sharding changed the summation order"
-                        )
-                else:
-                    prel = float(np.linalg.norm(parallel - serial) / denom)
-                    if not prel <= 1e-12:
-                        raise InvariantViolation(
-                            f"scenario {self.name!r}: {mode}/{prefix} coarse "
-                            f"apply is {prel:.3e} relative from serial "
-                            "(contract: <= 1e-12)"
-                        )
         factor_speedup = (
             flops["hierarchical"]["dense_factor_flops"]
             / flops["hierarchical"]["factor_flops"]
@@ -253,7 +204,7 @@ def _register_default() -> None:
             name="coarse_phase",
             description=(
                 "coarse-problem factorization and projector applies: dense "
-                "Cholesky vs two-level cluster hierarchy, per runtime backend"
+                "Cholesky vs two-level cluster hierarchy"
             ),
             base=Workload("heat", 2, (16, 16), 2, n_clusters=4),
             approaches=(DualOperatorApproach("expl mkl"),),

@@ -284,27 +284,6 @@ class DualOperatorBase(abc.ABC):
         return None
 
     # ------------------------------------------------------------------ #
-    # Sharded dense apply                                                 #
-    # ------------------------------------------------------------------ #
-    def dense_matvec(self, batch, p_concat: np.ndarray) -> np.ndarray:
-        """One cluster's packed dense apply, sharded on the runtime executor.
-
-        The single interception point of the apply-phase sharding: every
-        explicit backend (and the GPU scatter paths) funnels its batched
-        GEMV through here, so threads/processes chunk the block pack while
-        the serial executor stays the bit-equal reference.
-        """
-        from repro.runtime.apply import sharded_matvec
-
-        return sharded_matvec(batch.require_dense(), p_concat, self.executor)
-
-    def dense_matvec_multi(self, batch, p_stack: np.ndarray) -> np.ndarray:
-        """The multi-RHS analogue of :meth:`dense_matvec` (stacked GEMM)."""
-        from repro.runtime.apply import sharded_matvec_multi
-
-        return sharded_matvec_multi(batch.require_dense(), p_stack, self.executor)
-
-    # ------------------------------------------------------------------ #
     # Abstract pieces                                                     #
     # ------------------------------------------------------------------ #
     @abc.abstractmethod

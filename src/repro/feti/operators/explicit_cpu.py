@@ -142,7 +142,7 @@ class ExplicitCpuDualOperator(DualOperatorBase):
             clocks = self.new_thread_clocks(cluster)
             if subs:
                 batch = self.batch_engine.cluster(cluster.cluster_id)
-                q_concat = self.dense_matvec(batch, batch.dual_map.gather(lam))
+                q_concat = batch.require_dense().matvec(batch.dual_map.gather(lam))
                 batch.dual_map.scatter_add(q, q_concat)
                 costs = batch.cost_arrays["gemv"]
                 clocks.advance_many(costs)
@@ -169,8 +169,8 @@ class ExplicitCpuDualOperator(DualOperatorBase):
             clocks = self.new_thread_clocks(cluster)
             if subs:
                 batch = self.batch_engine.cluster(cluster.cluster_id)
-                q_stack = self.dense_matvec_multi(
-                    batch, batch.dual_map.gather_multi(lam_block)
+                q_stack = batch.require_dense().matvec_multi(
+                    batch.dual_map.gather_multi(lam_block)
                 )
                 batch.dual_map.scatter_add_multi(q, q_stack)
                 costs = batch.cost_arrays["gemv"] * k

@@ -633,8 +633,8 @@ class ExplicitGpuDualOperator(DualOperatorBase):
 
             # One batched MV over the packed blocks; per-stream kernel
             # submissions replayed for the timeline.
-            q_concat = self.dense_matvec(
-                batch, batch.aux_map.gather(cstate.dual_in.array)
+            q_concat = batch.require_dense().matvec(
+                batch.aux_map.gather(cstate.dual_in.array)
             )
             mv_costs = batch.cost_arrays["apply_mv"]
             overhead = device.cost_model.submission_overhead_cpu
@@ -688,7 +688,7 @@ class ExplicitGpuDualOperator(DualOperatorBase):
             device.reset_timeline()
             clocks = self.new_thread_clocks(cluster)
             batch = self.batch_engine.cluster(cluster.cluster_id)
-            q_concat = self.dense_matvec(batch, batch.dual_map.gather(lam))
+            q_concat = batch.require_dense().matvec(batch.dual_map.gather(lam))
             transfer_costs = batch.cost_arrays["apply_transfer"]
             mv_costs = batch.cost_arrays["apply_mv"]
             overhead = device.cost_model.submission_overhead_cpu

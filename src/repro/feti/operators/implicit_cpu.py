@@ -125,11 +125,7 @@ class ImplicitCpuDualOperator(DualOperatorBase):
 
         The triangular solves remain per-subdomain (their sparsity patterns
         differ), but the dual-vector traffic and the simulated-clock updates
-        run as single vectorized operations per cluster.  With a threads
-        executor the per-subdomain solve loop is chunked into contiguous
-        spans running as in-process futures — each span writes disjoint
-        slices of the concatenated result, so the sharded loop is
-        bit-identical to the serial one.
+        run as single vectorized operations per cluster.
         """
         q = np.zeros_like(lam)
         breakdown: dict[str, float] = {"spmv": 0.0, "trsv": 0.0}
@@ -140,36 +136,11 @@ class ImplicitCpuDualOperator(DualOperatorBase):
                 batch = self.batch_engine.cluster(cluster.cluster_id)
                 p_concat = batch.dual_map.gather(lam)
                 q_concat = np.empty_like(p_concat)
-
-                def solve_span(lo: int, hi: int, subs=subs, batch=batch,
-                               p_concat=p_concat, q_concat=q_concat) -> None:
-                    for i in range(lo, hi):
-                        sub = subs[i]
-                        solver = self._cpu_solvers[sub.index]
-                        local = batch.dual_map.slice_of(i)
-                        z = solver.solve(sub.B.T @ p_concat[local])
-                        q_concat[local] = sub.B @ z
-
-                executor = self.executor
-                if executor.backend == "threads" and executor.workers > 1:
-                    from repro.runtime.apply import min_shard_items
-                    from repro.runtime.shard import balanced_spans
-
-                    if len(subs) >= min_shard_items():
-                        spans = balanced_spans(len(subs), executor.workers)
-                        futures = [
-                            executor.submit(solve_span, lo, hi) for lo, hi in spans
-                        ]
-                        for future in futures:
-                            future.result()
-                    else:
-                        solve_span(0, len(subs))
-                else:
-                    # Serial reference; the process backend also solves in
-                    # the parent — the sparse factors live here, and
-                    # shipping two triangular solves per subdomain through
-                    # IPC would cost more than it saves.
-                    solve_span(0, len(subs))
+                for i, sub in enumerate(subs):
+                    solver = self._cpu_solvers[sub.index]
+                    local = batch.dual_map.slice_of(i)
+                    z = solver.solve(sub.B.T @ p_concat[local])
+                    q_concat[local] = sub.B @ z
                 batch.dual_map.scatter_add(q, q_concat)
                 spmv_costs = batch.cost_arrays["spmv"]
                 trsv_costs = batch.cost_arrays["trsv"]

@@ -14,29 +14,20 @@ multiplicity is applied on both sides, the usual choice for redundant-free
 constraint sets on structured decompositions.
 
 The application is a sum of independent per-subdomain products scattered
-into overlapping ``lambda_ids``.  On a thread executor the *products* run
-in parallel (they only read shared state) while the scatter-accumulate
-stays serial in subdomain order — overlapping indices make the accumulation
-order-sensitive, so keeping it serial is what makes the threaded apply
-bitwise equal to the serial reference.  The process backend falls through
-to serial: the per-subdomain operators are scipy sparse objects whose IPC
-cost would dwarf the products.
+into overlapping ``lambda_ids`` in subdomain order, always in the calling
+thread: a threaded dispatch of the products lost end to end on every
+measured workload, since the per-subdomain products are small scipy calls.
 """
 
 from __future__ import annotations
 
 import enum
-from typing import TYPE_CHECKING
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from repro.feti.problem import FetiProblem
-from repro.runtime.shard import balanced_spans
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.runtime.executor import Executor
 
 __all__ = [
     "PreconditionerKind",
@@ -62,9 +53,8 @@ class PreconditionerKind(enum.Enum):
 class IdentityPreconditioner:
     """The do-nothing preconditioner (``M = I``)."""
 
-    def __init__(self, problem: FetiProblem, *, executor: "Executor | None" = None) -> None:
+    def __init__(self, problem: FetiProblem) -> None:
         self.problem = problem
-        self.executor = executor
 
     def apply(self, w: np.ndarray) -> np.ndarray:
         """Return ``w`` unchanged."""
@@ -80,13 +70,8 @@ class IdentityPreconditioner:
 class _ScaledSubdomainPreconditioner:
     """Common machinery of the lumped and Dirichlet preconditioners."""
 
-    #: Smallest subdomain count worth a threaded dispatch (below it the
-    #: future overhead exceeds the per-subdomain product time).
-    _MIN_PARALLEL_SUBDOMAINS = 8
-
-    def __init__(self, problem: FetiProblem, *, executor: "Executor | None" = None) -> None:
+    def __init__(self, problem: FetiProblem) -> None:
         self.problem = problem
-        self.executor = executor
         self._scaled_B: list[sp.csr_matrix] = []
         for sub in problem.subdomains:
             scale = sp.diags(1.0 / sub.dof_multiplicity)
@@ -102,42 +87,13 @@ class _ScaledSubdomainPreconditioner:
         local = Bs.T @ w[sub.lambda_ids]
         return Bs @ (self._subdomain_operator(sub.index) @ local)
 
-    def _local_results(self, w: np.ndarray) -> list[np.ndarray | None]:
-        """All per-subdomain contributions, threaded where it pays off."""
-        n = len(self.problem.subdomains)
-        executor = self.executor
-        if (
-            executor is None
-            or executor.workers <= 1
-            or executor.backend != "threads"
-            or n < self._MIN_PARALLEL_SUBDOMAINS
-        ):
-            return [self._local_result(i, w) for i in range(n)]
-        results: list[np.ndarray | None] = [None] * n
-
-        def run(lo: int, hi: int):
-            def task() -> None:
-                for i in range(lo, hi):
-                    results[i] = self._local_result(i, w)
-
-            return task
-
-        futures = [
-            executor.submit(run(lo, hi))
-            for lo, hi in balanced_spans(n, executor.workers)
-        ]
-        for future in futures:
-            future.result()
-        return results
-
     def apply(self, w: np.ndarray) -> np.ndarray:
         """Apply ``M w = Σᵢ B̃ᵢ,scaled Opᵢ B̃ᵢ,scaledᵀ w``."""
-        results = self._local_results(w)
         out = np.zeros_like(w)
-        # Serial scatter in subdomain order: lambda_ids overlap between
-        # neighbours, so accumulation order decides the rounding — fixing
-        # it keeps every backend bitwise equal to the serial reference.
-        for sub, result in zip(self.problem.subdomains, results):
+        # Scatter in subdomain order: lambda_ids overlap between
+        # neighbours, so accumulation order decides the rounding.
+        for i, sub in enumerate(self.problem.subdomains):
+            result = self._local_result(i, w)
             if result is not None:
                 np.add.at(out, sub.lambda_ids, result)
         return out
@@ -167,8 +123,8 @@ class DirichletPreconditioner(_ScaledSubdomainPreconditioner):
     subdomain is small compared to its interior.
     """
 
-    def __init__(self, problem: FetiProblem, *, executor: "Executor | None" = None) -> None:
-        super().__init__(problem, executor=executor)
+    def __init__(self, problem: FetiProblem) -> None:
+        super().__init__(problem)
         self._schur: list[np.ndarray] = []
         self._interface_dofs: list[np.ndarray] = []
         for sub in problem.subdomains:

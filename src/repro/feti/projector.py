@@ -20,12 +20,11 @@ available:
     interface columns it actually touches (``Γ_c``), which keeps both the
     Schur assembly and the per-solve corrections local.
 
-The per-iteration products ``G @ x`` / ``Gᵀ @ x`` are sharded across the
-runtime executor workers (:class:`~repro.runtime.coarse.ShardedCsr`):
-threads are bitwise equal to serial, the process backend keeps the CSR
-triplets arena-resident.  ``apply_block`` projects a whole block of PCPG
-columns in two stacked sparse products (per-column coarse solves keep it
-bitwise equal to column-by-column application).
+The per-iteration products ``G @ x`` / ``Gᵀ @ x`` are plain CSR products
+in the calling thread: sharding them across executor workers lost end to
+end on every measured workload.  ``apply_block`` projects a whole block of
+PCPG columns in two stacked sparse products (per-column coarse solves keep
+it bitwise equal to column-by-column application).
 """
 
 from __future__ import annotations
@@ -37,11 +36,8 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 
-from repro.runtime.coarse import ShardedCsr
-
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.feti.problem import FetiProblem
-    from repro.runtime.executor import Executor
 
 __all__ = ["COARSE_MODES", "Projector", "build_projector", "column_clusters_of"]
 
@@ -207,7 +203,6 @@ def build_projector(
     problem: "FetiProblem",
     *,
     mode: str = "auto",
-    executor: "Executor | None" = None,
 ) -> "Projector":
     """The coarse projector of one problem, with ``"auto"`` resolved.
 
@@ -225,7 +220,6 @@ def build_projector(
         problem.assemble_G(),
         mode=mode,
         column_clusters=column_clusters_of(problem),
-        executor=executor,
     )
 
 
@@ -245,9 +239,6 @@ class Projector:
     column_clusters:
         Cluster id per kernel-mode column (see :func:`column_clusters_of`);
         required by the hierarchical mode.
-    executor:
-        Runtime executor the per-iteration ``G``/``Gᵀ`` products shard on
-        (``None`` = serial).
     """
 
     def __init__(
@@ -256,7 +247,6 @@ class Projector:
         *,
         mode: str = "dense",
         column_clusters: "Sequence[int] | np.ndarray | None" = None,
-        executor: "Executor | None" = None,
     ) -> None:
         self.G = sp.csr_matrix(G)
         self.Gt = sp.csr_matrix(self.G.T)
@@ -268,9 +258,6 @@ class Projector:
                 f"unknown coarse mode {mode!r}; "
                 f"expected one of: {', '.join(COARSE_MODES)}"
             )
-        self.executor = executor
-        self._g_product = ShardedCsr(self.G)
-        self._gt_product = ShardedCsr(self.Gt)
 
         gtg = np.asarray((self.Gt @ self.G).todense(), dtype=float)
         if mode == "auto":
@@ -319,9 +306,9 @@ class Projector:
     def apply(self, x: np.ndarray) -> np.ndarray:
         """Apply ``P x = x − G (GᵀG)⁻¹ Gᵀ x``."""
         start = time.perf_counter()
-        z = self._gt_product.matvec(x, self.executor)
+        z = self.Gt @ x
         u = self._coarse.solve(z)
-        out = x - self._g_product.matvec(u, self.executor)
+        out = x - self.G @ u
         self.seconds += time.perf_counter() - start
         self.applies += 1
         return out
@@ -339,14 +326,14 @@ class Projector:
         :meth:`apply`.
         """
         start = time.perf_counter()
-        Z = self._gt_product.matmat(np.ascontiguousarray(X), self.executor)
+        Z = self.Gt @ np.ascontiguousarray(X)
         U = np.column_stack(
             [
                 self._coarse.solve(np.ascontiguousarray(Z[:, j]))
                 for j in range(Z.shape[1])
             ]
         )
-        out = X - self._g_product.matmat(U, self.executor)
+        out = X - self.G @ U
         self.seconds += time.perf_counter() - start
         self.applies += X.shape[1]
         return out
@@ -354,7 +341,7 @@ class Projector:
     def initial_lambda(self, e: np.ndarray) -> np.ndarray:
         """Feasible initial iterate ``λ₀ = G (GᵀG)⁻¹ e`` (``Gᵀ λ₀ = e``)."""
         start = time.perf_counter()
-        out = self._g_product.matvec(self._coarse.solve(e), self.executor)
+        out = self.G @ self._coarse.solve(e)
         self.seconds += time.perf_counter() - start
         self.solves += 1
         return out
@@ -362,9 +349,7 @@ class Projector:
     def alpha(self, d_minus_F_lambda: np.ndarray) -> np.ndarray:
         """Kernel amplitudes ``α = −(GᵀG)⁻¹ Gᵀ (d − F λ)`` (equation (9))."""
         start = time.perf_counter()
-        out = -self._coarse.solve(
-            self._gt_product.matvec(d_minus_F_lambda, self.executor)
-        )
+        out = -self._coarse.solve(self.Gt @ d_minus_F_lambda)
         self.seconds += time.perf_counter() - start
         self.solves += 1
         return out

@@ -116,9 +116,9 @@ class FetiSolver:
             from repro.runtime.executor import shared_executor
 
             executor = shared_executor(spec.execution)
-        #: Runtime executor the coarse projector and the preconditioner
-        #: shard their per-iteration applications on (shared with the
-        #: dual operator; ``None`` = serial).
+        #: Runtime executor of the dual operator's preprocessing shards
+        #: (``None`` = the operator's lazy default).  The PCPG loop itself
+        #: (apply, project, precondition) always runs in the calling thread.
         self.executor = executor
         #: Resolved factor-storage policy (see :mod:`repro.memory.precision`).
         self.precision = resolve_precision(spec.precision)
@@ -147,9 +147,7 @@ class FetiSolver:
         the hierarchical two-level solve on multi-cluster decompositions
         and to the dense reference otherwise."""
         if self._projector is None:
-            self._projector = build_projector(
-                self.problem, mode=self.spec.coarse, executor=self.executor
-            )
+            self._projector = build_projector(self.problem, mode=self.spec.coarse)
         return self._projector
 
     @property
@@ -163,7 +161,7 @@ class FetiSolver:
                 cls = LumpedPreconditioner
             else:
                 cls = DirichletPreconditioner
-            self._preconditioner = cls(self.problem, executor=self.executor)
+            self._preconditioner = cls(self.problem)
         return self._preconditioner
 
     def prepare(self) -> PhaseTiming:

@@ -1,7 +1,11 @@
-"""repro.runtime — sharded parallel execution of the FETI pipeline.
+"""repro.runtime — parallel execution of the FETI pipeline.
 
-The runtime adds the layer the paper's premise implies but the earlier PRs
-never had: real host-side parallelism.  It is organized as four pieces:
+The runtime adds host-side parallelism where it wins end to end: the
+per-subdomain FETI preprocessing and the queued solves of a serving
+session.  The PCPG loop itself (dual-operator apply, coarse projection,
+preconditioner) always runs in the calling thread: sharding it across
+workers lost on every measured backend and approach.  The runtime is
+organized as four pieces:
 
 :mod:`repro.runtime.executor`
     :class:`ExecutionSpec` (the declarative ``backend`` + ``workers``

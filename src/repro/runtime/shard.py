@@ -48,8 +48,7 @@ class Shard:
 def balanced_spans(n: int, parts: int) -> list[tuple[int, int]]:
     """Split ``range(n)`` into ``min(parts, n)`` contiguous near-equal spans.
 
-    The common span decomposition of the runtime: shard planning uses it for
-    subdomain slices, the apply-phase sharding for block-pack chunks.
+    Shard planning uses it to slice each cluster's subdomains.
     """
     parts = max(1, min(parts, n))
     base, extra = divmod(n, parts)
@@ -60,9 +59,6 @@ def balanced_spans(n: int, parts: int) -> list[tuple[int, int]]:
         spans.append((start, start + size))
         start += size
     return spans
-
-
-_balanced_chunks = balanced_spans  # historical internal name
 
 
 class ShardPlan:
@@ -89,7 +85,7 @@ class ShardPlan:
             raise ValueError(f"workers must be >= 1, got {workers}")
         shards: list[Shard] = []
         for cluster_id, indices in clusters:
-            for lo, hi in _balanced_chunks(len(indices), workers):
+            for lo, hi in balanced_spans(len(indices), workers):
                 if hi == lo:
                     continue
                 shards.append(

@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.api import Session, SolverSpec, Workload
 from repro.decomposition.gluing import flat_scatter_maps
 from repro.feti.config import (
     AssemblyConfig,
@@ -230,3 +231,46 @@ def test_pad_reused_out_buffer_rezeroes_padding_lanes():
     # Stale values in the padding lanes must not survive a reuse.
     assert out[0, 2:].tolist() == [0.0, 0.0]
     np.testing.assert_array_equal(index_map.unpad(out), np.arange(6, dtype=float))
+
+
+# --------------------------------------------------------------------- #
+# apply_multi contract                                                   #
+# --------------------------------------------------------------------- #
+HEAT = Workload("heat", 2, (3, 3), 6)
+
+
+@pytest.mark.parametrize("approach", ["expl mkl", "expl modern", "expl hybrid"])
+def test_apply_multi_default_is_bitwise_k_applies(approach):
+    with Session(SolverSpec(approach=approach)) as session:
+        operator = session.operator_for(HEAT)
+        operator.prepare()
+        operator.preprocess()
+        n = session.problem(HEAT).n_lambda
+        rng = np.random.default_rng(3)
+        block = rng.standard_normal((n, 3))
+        multi = operator.apply_multi(block)
+        for j in range(3):
+            col = operator.apply(np.ascontiguousarray(block[:, j]))
+            assert np.array_equal(multi[:, j], col)
+
+
+@pytest.mark.parametrize("approach", ["expl mkl", "expl cholmod", "expl hybrid"])
+def test_apply_multi_stacked_within_1e12_of_per_column(approach):
+    with Session(SolverSpec(approach=approach)) as session:
+        operator = session.operator_for(HEAT)
+        operator.prepare()
+        operator.preprocess()
+        n = session.problem(HEAT).n_lambda
+        rng = np.random.default_rng(8)
+        block = rng.standard_normal((n, 4))
+        plain = operator.apply_multi(block)
+        stacked = operator.apply_multi(block, stacked=True)
+        denom = max(np.linalg.norm(plain), 1e-300)
+        assert np.linalg.norm(stacked - plain) / denom <= 1e-12
+
+
+def test_apply_multi_requires_preprocessing():
+    with Session() as session:
+        operator = session.operator_for(HEAT)
+        with pytest.raises(RuntimeError):
+            operator.apply_multi(np.zeros((3, 2)))

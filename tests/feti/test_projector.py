@@ -9,7 +9,6 @@ import scipy.sparse as sp
 from repro.api.spec import SolverSpec
 from repro.api.workload import Workload, build_problem
 from repro.feti.projector import Projector, build_projector
-from repro.runtime.executor import ExecutionSpec, make_executor
 
 
 @pytest.fixture()
@@ -176,31 +175,6 @@ def test_apply_block_is_bitwise_equal_to_per_column_applies():
         block = projector.apply_block(X)
         for j in range(X.shape[1]):
             assert np.array_equal(block[:, j], projector.apply(X[:, j].copy()))
-
-
-@pytest.mark.parametrize("mode", ["dense", "hierarchical"])
-def test_threads_executor_applies_are_bitwise_serial(monkeypatch, mode):
-    monkeypatch.setenv("REPRO_COARSE_MIN_ROWS", "1")
-    problem = build_problem(Workload("heat", 2, (4, 4), 3, n_clusters=4))
-    serial = build_projector(problem, mode=mode)
-    rng = np.random.default_rng(10)
-    x = rng.standard_normal(problem.n_lambda)
-    with make_executor(ExecutionSpec("threads", 4)) as executor:
-        threaded = build_projector(problem, mode=mode, executor=executor)
-        assert np.array_equal(threaded.apply(x), serial.apply(x))
-        X = rng.standard_normal((problem.n_lambda, 3))
-        assert np.array_equal(threaded.apply_block(X), serial.apply_block(X))
-
-
-def test_process_executor_applies_match_serial(monkeypatch):
-    monkeypatch.setenv("REPRO_COARSE_MIN_ROWS", "1")
-    problem = build_problem(Workload("heat", 2, (4, 4), 3, n_clusters=4))
-    serial = build_projector(problem, mode="hierarchical")
-    rng = np.random.default_rng(11)
-    x = rng.standard_normal(problem.n_lambda)
-    with make_executor(ExecutionSpec("processes", 2)) as executor:
-        sharded = build_projector(problem, mode="hierarchical", executor=executor)
-        assert np.array_equal(sharded.apply(x), serial.apply(x))
 
 
 APPROACHES = [

@@ -17,7 +17,7 @@ from repro.api import Session, SolverSpec, Workload
 from repro.api.workload import build_problem
 from repro.feti.config import DualOperatorApproach
 from repro.feti.solver import FetiSolver
-from repro.runtime.executor import shared_executor
+from repro.runtime.executor import SerialExecutor, shared_executor
 
 WORKLOADS = {
     "heat-2d": Workload("heat", 2, (2, 2), 4),
@@ -139,3 +139,54 @@ def test_symbolic_is_shipped_once_per_pattern_per_executor():
     assert executor.seeded_keys >= seeded
     for i, F in first.items():
         assert np.array_equal(operator.local_F[i], F)
+
+
+# --------------------------------------------------------------------- #
+# The PCPG loop stays in the calling thread                              #
+# --------------------------------------------------------------------- #
+LOOP_WORKLOAD = Workload("heat", 2, (8, 8), 16)
+
+
+@pytest.mark.parametrize("preconditioner", ["lumped", "dirichlet"])
+@pytest.mark.parametrize("approach", ["expl mkl", "impl mkl"])
+def test_warm_parallel_solve_dispatches_nothing(approach, preconditioner):
+    """A solve that reuses preprocessing submits no task to the executor.
+
+    64 subdomains in one cluster is past every size at which the apply,
+    projector or preconditioner ever dispatched per iteration, so a
+    per-iteration parallel path shows up here as executor submits.  The
+    serial reference runs its PCPG on the *same* preprocessed operator:
+    sharded explicit preprocessing may round differently from the serial
+    loop, but the PCPG phase itself must be bitwise serial.
+    """
+    spec = SolverSpec(
+        approach=approach, preconditioner=preconditioner, execution="threads:2"
+    )
+    with Session(spec) as session:
+        session.solve(LOOP_WORKLOAD)
+        executor = session.executor_for(spec)
+        submits = []
+        submit = executor.submit
+
+        def counting_submit(*args, **kwargs):
+            submits.append(args)
+            return submit(*args, **kwargs)
+
+        executor.submit = counting_submit
+        try:
+            solution = session.solve(LOOP_WORKLOAD)
+        finally:
+            del executor.submit
+        reference_solver = FetiSolver(
+            session.problem(LOOP_WORKLOAD),
+            SolverSpec(approach=approach, preconditioner=preconditioner),
+            executor=SerialExecutor(),
+        )
+        reference_solver.operator = session.operator_for(LOOP_WORKLOAD, spec)
+        reference = reference_solver.solve(reuse_preprocessing=True)
+    assert submits == []
+    assert solution.iterations == reference.iterations
+    assert np.array_equal(solution.lam, reference.lam)
+    assert np.array_equal(solution.alpha, reference.alpha)
+    for got, ref in zip(solution.primal, reference.primal):
+        assert np.array_equal(got, ref)
