@@ -10,7 +10,8 @@ from repro.feti.preconditioner import (
     IdentityPreconditioner,
     LumpedPreconditioner,
 )
-from repro.api import SolverSpec
+from repro.api import SolverSpec, Workload
+from repro.api.workload import build_problem
 from repro.feti.solver import FetiSolver, PreconditionerKind
 
 
@@ -69,3 +70,49 @@ def test_preconditioning_reduces_iterations(elasticity_problem_2d):
         return FetiSolver(elasticity_problem_2d, opts).solve().iterations
 
     assert run(PreconditionerKind.LUMPED) <= run(PreconditionerKind.NONE) + 2
+
+
+# --------------------------------------------------------------------- #
+# Many subdomains: the scatter against an independently assembled M      #
+# --------------------------------------------------------------------- #
+MANY = Workload("heat", 2, (4, 4), 3)
+
+
+def _reference_operator(sub, cls):
+    """``Kᵢ`` (lumped) or the embedded dense Schur complement (Dirichlet)."""
+    K = sub.K.toarray()
+    if cls is LumpedPreconditioner:
+        return K
+    boundary = np.unique(sub.B.indices)
+    interior = np.setdiff1d(np.arange(sub.ndofs), boundary)
+    S = K[np.ix_(boundary, boundary)] - K[np.ix_(boundary, interior)] @ np.linalg.solve(
+        K[np.ix_(interior, interior)], K[np.ix_(interior, boundary)]
+    )
+    op = np.zeros_like(K)
+    op[np.ix_(boundary, boundary)] = S
+    return op
+
+
+@pytest.mark.parametrize("cls", [LumpedPreconditioner, DirichletPreconditioner])
+def test_preconditioner_matches_assembled_reference(cls):
+    problem = build_problem(MANY)
+    assert len(problem.subdomains) == 16
+    n = problem.n_lambda
+    M = np.zeros((n, n))
+    for sub in problem.subdomains:
+        Bs = sub.B.toarray() / sub.dof_multiplicity
+        M[np.ix_(sub.lambda_ids, sub.lambda_ids)] += Bs @ _reference_operator(sub, cls) @ Bs.T
+    w = np.random.default_rng(5).standard_normal(n)
+    want = M @ w
+    got = cls(problem).apply(w)
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("cls", [LumpedPreconditioner, DirichletPreconditioner])
+def test_apply_block_is_bitwise_equal_to_per_column_applies(cls):
+    problem = build_problem(MANY)
+    pre = cls(problem)
+    W = np.random.default_rng(6).standard_normal((problem.n_lambda, 3))
+    block = pre.apply_block(W)
+    for j in range(W.shape[1]):
+        assert np.array_equal(block[:, j], pre.apply(W[:, j].copy()))

@@ -177,6 +177,22 @@ def test_apply_block_is_bitwise_equal_to_per_column_applies():
             assert np.array_equal(block[:, j], projector.apply(X[:, j].copy()))
 
 
+@pytest.mark.parametrize("mode", ["dense", "hierarchical"])
+def test_projector_holds_plain_csr_and_matches_dense_formula(mode):
+    """``G`` and ``Gᵀ`` are plain CSR; ``P x = x − G (GᵀG)⁻¹ Gᵀ x``."""
+    problem = build_problem(Workload("heat", 2, (4, 4), 3, n_clusters=4))
+    projector = build_projector(problem, mode=mode)
+    assert type(projector.G) is sp.csr_matrix
+    assert type(projector.Gt) is sp.csr_matrix
+    G = problem.assemble_G().toarray()
+    assert np.array_equal(projector.G.toarray(), G)
+    assert np.array_equal(projector.Gt.toarray(), G.T)
+    x = np.random.default_rng(10).standard_normal(problem.n_lambda)
+    want = x - G @ np.linalg.solve(G.T @ G, G.T @ x)
+    got = projector.apply(x)
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(x)
+
+
 APPROACHES = [
     "impl mkl",
     "impl cholmod",

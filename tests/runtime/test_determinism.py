@@ -145,25 +145,26 @@ def test_symbolic_is_shipped_once_per_pattern_per_executor():
 # The PCPG loop stays in the calling thread                              #
 # --------------------------------------------------------------------- #
 LOOP_WORKLOAD = Workload("heat", 2, (8, 8), 16)
+# 16 subdomains and ~300 multipliers: still past the sizes at which the
+# process-pool apply and coarse products dispatched, at a quarter the cost.
+PROCESS_LOOP_WORKLOAD = Workload("heat", 2, (4, 4), 10)
 
 
-@pytest.mark.parametrize("preconditioner", ["lumped", "dirichlet"])
-@pytest.mark.parametrize("approach", ["expl mkl", "impl mkl"])
-def test_warm_parallel_solve_dispatches_nothing(approach, preconditioner):
+def _assert_warm_solve_dispatches_nothing(approach, preconditioner, execution, workload):
     """A solve that reuses preprocessing submits no task to the executor.
 
-    64 subdomains in one cluster is past every size at which the apply,
-    projector or preconditioner ever dispatched per iteration, so a
+    Both loop workloads are past every size at which the apply, projector
+    or preconditioner ever dispatched per iteration on their backend, so a
     per-iteration parallel path shows up here as executor submits.  The
     serial reference runs its PCPG on the *same* preprocessed operator:
     sharded explicit preprocessing may round differently from the serial
     loop, but the PCPG phase itself must be bitwise serial.
     """
     spec = SolverSpec(
-        approach=approach, preconditioner=preconditioner, execution="threads:2"
+        approach=approach, preconditioner=preconditioner, execution=execution
     )
     with Session(spec) as session:
-        session.solve(LOOP_WORKLOAD)
+        session.solve(workload)
         executor = session.executor_for(spec)
         submits = []
         submit = executor.submit
@@ -174,15 +175,15 @@ def test_warm_parallel_solve_dispatches_nothing(approach, preconditioner):
 
         executor.submit = counting_submit
         try:
-            solution = session.solve(LOOP_WORKLOAD)
+            solution = session.solve(workload)
         finally:
             del executor.submit
         reference_solver = FetiSolver(
-            session.problem(LOOP_WORKLOAD),
+            session.problem(workload),
             SolverSpec(approach=approach, preconditioner=preconditioner),
             executor=SerialExecutor(),
         )
-        reference_solver.operator = session.operator_for(LOOP_WORKLOAD, spec)
+        reference_solver.operator = session.operator_for(workload, spec)
         reference = reference_solver.solve(reuse_preprocessing=True)
     assert submits == []
     assert solution.iterations == reference.iterations
@@ -190,3 +191,19 @@ def test_warm_parallel_solve_dispatches_nothing(approach, preconditioner):
     assert np.array_equal(solution.alpha, reference.alpha)
     for got, ref in zip(solution.primal, reference.primal):
         assert np.array_equal(got, ref)
+
+
+@pytest.mark.parametrize("preconditioner", ["lumped", "dirichlet"])
+@pytest.mark.parametrize("approach", ["expl mkl", "impl mkl"])
+def test_warm_parallel_solve_dispatches_nothing(approach, preconditioner):
+    _assert_warm_solve_dispatches_nothing(
+        approach, preconditioner, "threads:2", LOOP_WORKLOAD
+    )
+
+
+@pytest.mark.parametrize("preconditioner", ["lumped", "dirichlet"])
+@pytest.mark.parametrize("approach", ["expl mkl", "impl mkl"])
+def test_warm_process_solve_dispatches_nothing(approach, preconditioner):
+    _assert_warm_solve_dispatches_nothing(
+        approach, preconditioner, "processes:2", PROCESS_LOOP_WORKLOAD
+    )
